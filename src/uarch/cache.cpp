@@ -1,98 +1,35 @@
 #include "xaon/uarch/cache.hpp"
 
+#include <bit>
+
 #include "xaon/util/assert.hpp"
 
 namespace xaon::uarch {
 
-namespace {
-
-constexpr bool is_pow2(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
-
-}  // namespace
-
 Cache::Cache(const CacheConfig& config) : config_(config) {
-  XAON_CHECK_MSG(is_pow2(config.line_bytes), "line size must be 2^k");
+  XAON_CHECK_MSG(std::has_single_bit(config.line_bytes),
+                 "line size must be 2^k");
   XAON_CHECK_MSG(config.associativity > 0, "associativity must be > 0");
   const std::uint64_t sets = config.num_sets();
-  XAON_CHECK_MSG(sets > 0 && is_pow2(sets),
+  XAON_CHECK_MSG(sets > 0 && std::has_single_bit(sets),
                  "size/(line*assoc) must be a power of two");
+  line_shift_ =
+      static_cast<std::uint32_t>(std::countr_zero(config.line_bytes));
   set_mask_ = sets - 1;
-  ways_.resize(sets * config.associativity);
-}
-
-AccessResult Cache::touch(std::uint64_t addr, bool is_write,
-                                 bool count) {
-  const std::uint64_t line = line_of(addr);
-  const std::uint64_t set = line & set_mask_;
-  Way* base = &ways_[set * config_.associativity];
-  AccessResult result;
-  if (count) ++stats_.accesses;
-  ++tick_;
-
-  Way* lru_way = base;
-  for (std::uint32_t w = 0; w < config_.associativity; ++w) {
-    Way& way = base[w];
-    if (way.valid && way.tag == line) {
-      way.lru = tick_;
-      way.dirty = way.dirty || is_write;
-      result.hit = true;
-      return result;
-    }
-    if (!way.valid) {
-      lru_way = &way;  // prefer invalid ways
-    } else if (lru_way->valid && way.lru < lru_way->lru) {
-      lru_way = &way;
-    }
-  }
-  // Miss: allocate into lru_way.
-  if (count) ++stats_.misses;
-  if (lru_way->valid) {
-    ++stats_.evictions;
-    result.evicted = true;
-    result.victim_line = lru_way->tag;
-    if (lru_way->dirty) {
-      ++stats_.writebacks;
-      result.writeback = true;
-    }
-  }
-  lru_way->valid = true;
-  lru_way->tag = line;
-  lru_way->lru = tick_;
-  lru_way->dirty = is_write;
-  return result;
-}
-
-AccessResult Cache::access(std::uint64_t addr, bool is_write) {
-  return touch(addr, is_write, /*count=*/true);
-}
-
-AccessResult Cache::fill(std::uint64_t addr) {
-  return touch(addr, /*is_write=*/false, /*count=*/false);
-}
-
-bool Cache::contains(std::uint64_t addr) const {
-  const std::uint64_t line = addr / config_.line_bytes;
-  const std::uint64_t set = line & set_mask_;
-  const Way* base = &ways_[set * config_.associativity];
-  for (std::uint32_t w = 0; w < config_.associativity; ++w) {
-    if (base[w].valid && base[w].tag == line) return true;
-  }
-  return false;
+  const std::size_t ways = sets * config.associativity;
+  tags_.assign(ways, 0);
+  lru_.assign(ways, 0);
+  dirty_.assign(ways, 0);
 }
 
 bool Cache::invalidate(std::uint64_t addr) {
-  const std::uint64_t line = addr / config_.line_bytes;
-  const std::uint64_t set = line & set_mask_;
-  Way* base = &ways_[set * config_.associativity];
-  for (std::uint32_t w = 0; w < config_.associativity; ++w) {
-    if (base[w].valid && base[w].tag == line) {
-      base[w].valid = false;
-      const bool was_dirty = base[w].dirty;
-      base[w].dirty = false;
-      return was_dirty;
-    }
-  }
-  return false;
+  const std::int64_t hit = lookup(line_of(addr));
+  if (hit < 0) return false;
+  const auto way = static_cast<std::size_t>(hit);
+  const bool was_dirty = dirty_[way] != 0;
+  tags_[way] = 0;
+  dirty_[way] = 0;
+  return was_dirty;
 }
 
 }  // namespace xaon::uarch

@@ -224,6 +224,27 @@ TEST(System, RejectsTooManyTraces) {
   EXPECT_DEATH(sys.run({&t, &t}), "more traces than hardware threads");
 }
 
+TEST(System, RejectsUnequalLineSizes) {
+  PlatformConfig l1d = platform_2cpm();
+  l1d.arch.l1d.line_bytes = 32;
+  EXPECT_DEATH(System{l1d}, "equal line sizes");
+  PlatformConfig l1i = platform_2ppx();
+  l1i.arch.l1i.line_bytes = 128;
+  EXPECT_DEATH(System{l1i}, "equal line sizes");
+  PlatformConfig l2 = platform_1cpm();
+  l2.l2.line_bytes = 128;
+  EXPECT_DEATH(System{l2}, "equal line sizes");
+}
+
+TEST(System, RejectsMoreThan32Cores) {
+  PlatformConfig wide = platform_2cpm();
+  wide.chips = 4;
+  wide.cores_per_chip = 8;
+  System ok(wide);  // 32 cores: every core has a directory mask bit
+  wide.cores_per_chip = 9;
+  EXPECT_DEATH(System{wide}, "at most 32 cores");
+}
+
 TEST(Platform, TableOneGeometries) {
   const PlatformConfig pm = platform_1cpm();
   EXPECT_EQ(pm.arch.l1d.size_bytes, 32u * 1024u);
