@@ -12,26 +12,10 @@
 #include "xaon/util/table.hpp"
 
 /// \file bench_common.hpp
-/// Shared scaffolding for the per-table/figure reproduction binaries:
-/// experiment configs from command-line flags, and the paper's reported
-/// values so every binary prints measured-vs-paper side by side.
+/// Shared scaffolding for the bench binaries: the AON experiment config
+/// from command-line flags, and --help / unknown-flag handling.
 
 namespace xaon::bench {
-
-/// The five platform notations in the paper's column order.
-inline const std::vector<std::string>& platforms() {
-  static const std::vector<std::string> p{"1CPm", "2CPm", "1LPx", "2LPx",
-                                          "2PPx"};
-  return p;
-}
-
-/// Paper-reported values, one row per workload in SV/CBR/FR order,
-/// columns per platforms().
-struct PaperTable {
-  const char* title;
-  std::vector<std::string> workloads;
-  std::vector<std::vector<double>> values;
-};
 
 inline perf::AonExperimentConfig aon_config_from_flags(util::Flags& flags) {
   perf::AonExperimentConfig config;
@@ -44,16 +28,6 @@ inline perf::AonExperimentConfig aon_config_from_flags(util::Flags& flags) {
   return config;
 }
 
-inline perf::NetperfExperimentConfig netperf_config_from_flags(
-    util::Flags& flags) {
-  perf::NetperfExperimentConfig config;
-  config.measure_repeats = static_cast<std::uint32_t>(
-      flags.i64("repeats", 2, "measured trace replays"));
-  config.iterations_per_trace = static_cast<std::uint32_t>(
-      flags.i64("iterations", 24, "16KB buffers per netperf trace"));
-  return config;
-}
-
 inline bool handle_help(util::Flags& flags) {
   if (flags.help_requested()) {
     std::fputs(flags.usage().c_str(), stderr);
@@ -63,25 +37,6 @@ inline bool handle_help(util::Flags& flags) {
     std::fprintf(stderr, "warning: unknown flag --%s\n", unknown.c_str());
   }
   return false;
-}
-
-/// Prints a measured table followed by the paper's reported values and
-/// the measured/paper ratio per cell (shape check at a glance).
-inline void print_with_paper(const util::TextTable& measured,
-                             const PaperTable& paper, int precision = 2) {
-  measured.print();
-  util::TextTable ref(std::string(paper.title) + " — paper reported");
-  std::vector<std::string> header{"Workload"};
-  for (const std::string& p : platforms()) header.push_back(p);
-  ref.set_header(header);
-  for (std::size_t w = 0; w < paper.workloads.size(); ++w) {
-    std::vector<std::string> row{paper.workloads[w]};
-    for (double v : paper.values[w]) {
-      row.push_back(util::format("%.*f", precision, v));
-    }
-    ref.add_row(std::move(row));
-  }
-  ref.print();
 }
 
 }  // namespace xaon::bench

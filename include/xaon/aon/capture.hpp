@@ -30,7 +30,6 @@ struct CaptureConfig {
   /// 0 = use the per-use-case default (FR < CBR < SV — proxying touches
   /// far less code than a 2006-era parse+validate stack).
   std::uint64_t code_footprint_bytes = 0;
-  double alu_scale = 1.0;            ///< instruction-mix calibration
   /// <0 = per-use-case default. See RecorderConfig::compute_expansion:
   /// emulates the heavyweight commercial XML stack of the paper's SUT.
   double compute_expansion = -1.0;

@@ -40,7 +40,6 @@ struct AonExperimentConfig {
   std::uint32_t messages_per_trace = 0;
   std::uint32_t warmup_repeats = 1;
   std::uint32_t measure_repeats = 4;
-  double alu_scale = 1.0;
 };
 
 /// Runs one AON use case across every platform. Each hardware thread
@@ -69,6 +68,20 @@ WorkloadResults run_netperf_loopback(
 /// min(CPU-limited rate, TCP goodput from the network simulator).
 WorkloadResults run_netperf_endtoend(
     const NetperfExperimentConfig& config = {});
+
+/// Every experiment of the paper's evaluation, each on the five
+/// platforms: the AON use cases (Figs. 3-5, Tables 4-6) and netperf in
+/// both modes (Fig. 2, Table 3).
+struct PaperMatrix {
+  std::vector<WorkloadResults> aon;  ///< SV, CBR, FR
+  WorkloadResults loopback;
+  WorkloadResults endtoend;
+};
+
+/// Runs the whole matrix once; the benches print it and the shape
+/// predicates (shapes.hpp) check it.
+PaperMatrix run_paper_matrix(const AonExperimentConfig& aon,
+                             const NetperfExperimentConfig& netperf);
 
 /// Throughput ratio between two platforms of one workload (Figure 3's
 /// scaling bars); 0 when either is missing.

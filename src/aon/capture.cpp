@@ -69,7 +69,6 @@ uarch::Trace capture_use_case_trace(UseCase use_case,
   rec_config.code_footprint_bytes =
       config.code_footprint_bytes != 0 ? config.code_footprint_bytes
                                        : default_code_footprint(use_case);
-  rec_config.alu_scale = config.alu_scale;
   rec_config.compute_expansion = config.compute_expansion >= 0
                                      ? config.compute_expansion
                                      : default_compute_expansion(use_case);

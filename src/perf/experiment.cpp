@@ -65,7 +65,6 @@ WorkloadResults run_aon_experiment(aon::UseCase use_case,
     capture.message_seed = 1 + static_cast<std::uint64_t>(t) * n_messages;
     capture.data_base =
         0x1000'0000ull + static_cast<std::uint64_t>(t) * 0x1000'0000ull;
-    capture.alu_scale = config.alu_scale;
     traces.push_back(capture_use_case_trace(use_case, capture));
   }
 
@@ -177,6 +176,12 @@ WorkloadResults run_netperf_endtoend(const NetperfExperimentConfig& config) {
     results.runs.push_back(std::move(run));
   }
   return results;
+}
+
+PaperMatrix run_paper_matrix(const AonExperimentConfig& aon,
+                             const NetperfExperimentConfig& netperf) {
+  return {run_all_aon_experiments(aon), run_netperf_loopback(netperf),
+          run_netperf_endtoend(netperf)};
 }
 
 double scaling(const WorkloadResults& results, std::string_view from,
