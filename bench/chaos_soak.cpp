@@ -148,17 +148,17 @@ int main(int argc, char** argv) {
 
     const bool one_response_each =
         load.messages == messages &&
-        load.status_2xx + load.status_4xx + load.status_5xx ==
+        load.status.s2xx + load.status.s4xx + load.status.s5xx ==
             load.messages;
     invariant_ok = invariant_ok && one_response_each;
 
     table.add_row({name, util::format("%.0f", load.messages_per_second()),
                    util::format("%llu", static_cast<unsigned long long>(
-                                            load.status_2xx)),
+                                            load.status.s2xx)),
                    util::format("%llu", static_cast<unsigned long long>(
-                                            load.status_4xx)),
+                                            load.status.s4xx)),
                    util::format("%llu", static_cast<unsigned long long>(
-                                            load.status_5xx)),
+                                            load.status.s5xx)),
                    util::format("%llu", static_cast<unsigned long long>(
                                             load.forward_retries))});
     std::printf(
@@ -174,9 +174,9 @@ int main(int argc, char** argv) {
         name.c_str(), workers, static_cast<unsigned long long>(seed),
         static_cast<unsigned long long>(load.messages), load.seconds,
         load.wall_seconds, load.messages_per_second(),
-        static_cast<unsigned long long>(load.status_2xx),
-        static_cast<unsigned long long>(load.status_4xx),
-        static_cast<unsigned long long>(load.status_5xx),
+        static_cast<unsigned long long>(load.status.s2xx),
+        static_cast<unsigned long long>(load.status.s4xx),
+        static_cast<unsigned long long>(load.status.s5xx),
         static_cast<unsigned long long>(load.forward_retries),
         static_cast<unsigned long long>(load.forward_shed),
         static_cast<unsigned long long>(load.forward_failures),

@@ -142,10 +142,6 @@ class Pipeline {
     RouteCache route_cache{kDefaultRouteCacheCapacity};
   };
 
-  /// Processes an already-parsed request.
-  Outcome process(const http::Request& request,
-                  ProcessScratch* scratch = nullptr) const;
-
   /// Processes raw wire bytes: HTTP parse + use case + forward
   /// serialization — the full per-message path the paper measures.
   Outcome process_wire(std::string_view wire,
@@ -153,7 +149,8 @@ class Pipeline {
 
   /// Hot-path variants: the returned Outcome lives in `scratch` and is
   /// invalidated by the next call through the same scratch. No
-  /// per-message copies of the request or outcome are made.
+  /// per-message copies of the request or outcome are made. `process`
+  /// takes an already-parsed request.
   const Outcome& process(const http::Request& request,
                          ProcessScratch& scratch XAON_LIFETIME_BOUND) const;
   const Outcome& process_wire(std::string_view wire,

@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "xaon/aon/pipeline.hpp"
+#include "xaon/util/assert.hpp"
+#include "xaon/util/backoff.hpp"
 #include "xaon/util/metrics.hpp"
 
 /// \file server.hpp
@@ -18,7 +20,9 @@
 /// accepts each processed message's outbound wire, and a bounded
 /// retry-with-backoff budget (`ForwardPolicy`) plus the bounded worker
 /// queues guarantee a faulty downstream turns into 502/503 responses —
-/// never unbounded queuing or a lost message.
+/// never unbounded queuing or a lost message. That step after the
+/// pipeline — forward, status accounting, per-worker stats — is
+/// `GatewayWorker`, which `net::Server` runs too.
 
 namespace xaon::aon {
 
@@ -49,16 +53,29 @@ struct ForwardPolicy {
   std::uint32_t backoff_pauses = 64;  ///< Backoff::pause() calls per retry
 };
 
-struct ServerConfig {
+/// Settings both gateway servers share: the host-mode `Server` here
+/// and the socket-level `net::Server`, which each extend it.
+struct GatewayConfig {
   UseCase use_case = UseCase::kForwardRequest;
   std::size_t workers = 2;  ///< kept equal to CPUs, per the paper
-  std::size_t queue_capacity = 512;
   Downstream* downstream = nullptr;  ///< optional next hop (not owned)
   ForwardPolicy forward;
   /// Per-worker structural routing cache capacity (CBR); 0 disables the
   /// cache so every message takes the full-evaluation path — the knob
   /// the cache differential tests flip.
   std::size_t route_cache_capacity = kDefaultRouteCacheCapacity;
+
+  /// Aborts on a setting no server can run with: no worker (run_load
+  /// divides by the worker count) or a forward budget of zero sends
+  /// (the forward loop sends before it tests the bound).
+  void check() const {
+    XAON_CHECK(workers >= 1);
+    XAON_CHECK(forward.max_attempts >= 1);
+  }
+};
+
+struct ServerConfig : GatewayConfig {
+  std::size_t queue_capacity = 512;
 };
 
 /// Explicit response-class buckets. `add` classifies by HTTP status
@@ -103,12 +120,32 @@ struct StatusBuckets {
   }
 };
 
-struct LoadResult {
+/// Merged gateway counters of one run, valid after every worker joined.
+/// `net::ServerStats` is this type; `LoadResult` adds host-mode timing.
+struct GatewayStats {
   std::uint64_t messages = 0;
   std::uint64_t routed_primary = 0;
   std::uint64_t routed_error = 0;
   std::uint64_t failed = 0;  ///< HTTP/XML-level rejections
 
+  /// Response-class buckets: every accepted message lands in exactly
+  /// one. The built-in pipeline only emits 2xx/4xx/5xx (4xx: pipeline
+  /// rejections, 5xx: downstream degradation), so s2xx + s4xx + s5xx ==
+  /// messages there; the merge asserts the all-bucket reconciliation
+  /// unconditionally.
+  StatusBuckets status;
+  std::uint64_t forward_retries = 0;   ///< extra send attempts
+  std::uint64_t forward_failures = 0;  ///< budgets exhausted on kFail (502)
+  std::uint64_t forward_shed = 0;      ///< budgets exhausted on kBusy (503)
+
+  /// Merged per-worker / per-stage telemetry: parse / route / serialize
+  /// / forward latency tracks (p50/p90/p99/max), per-worker message and
+  /// busy-time accounting, the imbalance ratio, and the probe-site
+  /// registry — one JSON dump via `metrics.to_json()`.
+  util::MetricsSnapshot metrics;
+};
+
+struct LoadResult : GatewayStats {
   /// Dispatch-to-drain window: first push to the moment the *last*
   /// worker drained its queue. Excludes thread creation and join
   /// teardown, so short runs no longer under-report throughput.
@@ -120,30 +157,53 @@ struct LoadResult {
   /// `seconds` semantics, kept for end-to-end accounting.
   double wall_seconds = 0;
 
-  /// Response-class buckets: every accepted message lands in exactly
-  /// one. The built-in pipeline only emits 2xx/4xx/5xx, so
-  /// status_2xx + status_4xx + status_5xx == messages there; run_load
-  /// asserts the all-bucket reconciliation unconditionally.
-  std::uint64_t status_1xx = 0;  ///< never produced today; counted, not folded
-  std::uint64_t status_2xx = 0;
-  std::uint64_t status_3xx = 0;  ///< never produced today; counted, not folded
-  std::uint64_t status_4xx = 0;  ///< pipeline rejections (400/403)
-  std::uint64_t status_5xx = 0;  ///< downstream degradation (502/503)
-  std::uint64_t status_other = 0;  ///< outside 100-599 (pipeline bug)
-  std::uint64_t forward_retries = 0;   ///< extra send attempts
-  std::uint64_t forward_failures = 0;  ///< budgets exhausted on kFail (502)
-  std::uint64_t forward_shed = 0;      ///< budgets exhausted on kBusy (503)
-
-  /// Merged per-worker / per-stage telemetry: parse / route / serialize
-  /// / forward latency tracks (p50/p90/p99/max), per-worker message and
-  /// busy-time accounting, the imbalance ratio, and the probe-site
-  /// registry — one JSON dump via `metrics.to_json()`.
-  util::MetricsSnapshot metrics;
-
   /// Throughput over the dispatch-to-drain window (see `seconds`).
   double messages_per_second() const {
     return seconds > 0 ? static_cast<double>(messages) / seconds : 0.0;
   }
+};
+
+/// One worker's gateway state and the per-message step after
+/// `Pipeline::process*` that both servers run. Written by exactly one
+/// worker thread while it runs and merged only after that thread is
+/// joined. Allocation-free at steady state.
+class GatewayWorker {
+ public:
+  explicit GatewayWorker(const GatewayConfig& config);
+  // `scratch` points at `metrics`.
+  GatewayWorker(const GatewayWorker&) = delete;
+  GatewayWorker& operator=(const GatewayWorker&) = delete;
+
+  /// Counts the outcome's route, then forwards a handled message under
+  /// the `ForwardPolicy` budget. Returns the response status: the
+  /// pipeline's own, or 502/503 when the budget ran out on kFail/kBusy.
+  int forward(const Pipeline::Outcome& outcome);
+  /// Closes one message: its status bucket, its latency since
+  /// `start_ns` and the arena gauge (the arena still holds its DOM).
+  void finish(int status, std::uint64_t start_ns);
+  /// Counts a 400 for bytes that never formed a request.
+  void reject_unframed(std::uint64_t start_ns);
+  /// Publishes the route-cache and scan-kernel counters, once, on the
+  /// worker thread when it stops taking messages.
+  void drain();
+  /// Adds this worker to `stats` and checks that every message merged
+  /// so far landed in exactly one status bucket.
+  void merge_into(GatewayStats& stats) const;
+
+  util::WorkerMetrics metrics;
+  Pipeline::ProcessScratch scratch;  ///< reused by every message
+
+ private:
+  GatewayConfig config_;
+  util::Backoff retry_backoff_;
+  std::uint64_t messages_ = 0;
+  std::uint64_t primary_ = 0;
+  std::uint64_t error_ = 0;
+  std::uint64_t failed_ = 0;
+  StatusBuckets status_;
+  std::uint64_t retries_ = 0;
+  std::uint64_t fwd_failures_ = 0;
+  std::uint64_t fwd_shed_ = 0;
 };
 
 class Server {

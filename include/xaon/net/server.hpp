@@ -4,9 +4,7 @@
 #include <memory>
 #include <string>
 
-#include "xaon/aon/pipeline.hpp"
 #include "xaon/aon/server.hpp"
-#include "xaon/util/metrics.hpp"
 
 /// \file server.hpp
 /// Real-network AON server: an epoll-based nonblocking TCP transport
@@ -20,48 +18,28 @@
 /// parse → route → serialize path stays allocation-free at steady
 /// state, same contract as the host-mode server (DESIGN.md §5b).
 ///
-/// The forward path mirrors host mode: an optional `aon::Downstream`
-/// (see `net::SocketDownstream` for the real-socket one) with the
-/// bounded `ForwardPolicy` retry budget; an exhausted budget degrades
-/// the one message to 502/503 and the event loop moves on. DESIGN.md
-/// §"Transport" documents the connection state machine and the
+/// The forward path is host mode's: each worker runs the same
+/// `aon::GatewayWorker` step, forwarding to an optional
+/// `aon::Downstream` (see `net::SocketDownstream` for the real-socket
+/// one) under the bounded `ForwardPolicy` retry budget; an exhausted
+/// budget degrades the one message to 502/503 and the event loop moves
+/// on. DESIGN.md §"Transport" documents the connection state machine and the
 /// timeout → shed mapping.
 
 namespace xaon::net {
 
-struct ServerConfig {
-  aon::UseCase use_case = aon::UseCase::kForwardRequest;
-  std::size_t workers = 2;  ///< event-loop threads (paper: one per CPU)
+struct ServerConfig : aon::GatewayConfig {
   /// Loopback port to bind; 0 = kernel-assigned (read it back via
   /// `Server::port()` once started).
   std::uint16_t port = 0;
-  /// Capacity of each worker's acceptor→worker fd handoff ring.
-  std::size_t handoff_capacity = 256;
-  /// Per-read buffer; also the largest chunk the parser sees at once.
-  std::size_t read_chunk = 64 * 1024;
-  /// Per-message HTTP body cap (`MessageParser::set_max_body`).
-  std::size_t max_body = 16 * 1024 * 1024;
-  aon::Downstream* downstream = nullptr;  ///< optional next hop (not owned)
-  aon::ForwardPolicy forward;
-  /// Per-worker CBR structural routing cache capacity (0 disables).
-  std::size_t route_cache_capacity = aon::kDefaultRouteCacheCapacity;
 };
 
-/// Merged results, valid after `stop()`. The shape mirrors
-/// `aon::LoadResult` so benches emit the same JSON-line schema; the
-/// transport-level counters (accepted/closed/EAGAIN/short-writes,
-/// bytes in/out) ride inside `metrics` as `util::NetCounters`.
-struct ServerStats {
-  std::uint64_t messages = 0;        ///< requests fully parsed + processed
-  std::uint64_t routed_primary = 0;
-  std::uint64_t routed_error = 0;
-  std::uint64_t failed = 0;          ///< HTTP/XML-level rejections
-  aon::StatusBuckets status;         ///< response classes, reconciled
-  std::uint64_t forward_retries = 0;
-  std::uint64_t forward_failures = 0;  ///< budget exhausted on kFail (502)
-  std::uint64_t forward_shed = 0;      ///< budget exhausted on kBusy (503)
-  util::MetricsSnapshot metrics;
-};
+/// Merged results, valid after `stop()`: the same type as the host
+/// server's counters (`aon::LoadResult` extends it with timing), so
+/// benches emit the same JSON-line schema; the transport-level counters
+/// (accepted/closed/EAGAIN/short-writes, bytes in/out) ride inside
+/// `metrics` as `util::NetCounters`.
+using ServerStats = aon::GatewayStats;
 
 /// The transport server. start() binds and spawns the threads; stop()
 /// tears everything down and merges per-worker state into stats().

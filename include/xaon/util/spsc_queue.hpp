@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <new>
 #include <optional>
 #include <vector>
 
@@ -44,12 +43,7 @@
 
 namespace xaon::util {
 
-#ifdef __cpp_lib_hardware_interference_size
-inline constexpr std::size_t kCacheLine =
-    std::hardware_destructive_interference_size;
-#else
 inline constexpr std::size_t kCacheLine = 64;
-#endif
 
 template <typename T>
 class SpscQueue {

@@ -32,6 +32,26 @@ inline void stage_record(Pipeline::ProcessScratch& state, util::Stage stage) {
   }
 }
 
+// HTTP parse stage of both process_wire variants: frames `wire` into
+// `state.parser`. Bytes that are not exactly one complete request get
+// the 400 outcome in `state.outcome`, and the result is false.
+bool frame_wire(std::string_view wire, Pipeline::ProcessScratch& state) {
+  stage_mark(state);
+  state.parser.reset();
+  const std::size_t consumed = state.parser.feed(wire);
+  const bool framed = state.parser.done() && consumed == wire.size();
+  if (!framed) {
+    Pipeline::Outcome& out = state.outcome;
+    out.reset();
+    out.response.status = 400;
+    out.response.reason.assign("Bad Request");
+    out.detail.assign(state.parser.failed() ? state.parser.error()
+                                            : "incomplete request");
+  }
+  stage_record(state, util::Stage::kParse);
+  return framed;
+}
+
 // --- CBR structural routing cache helpers (DESIGN.md §"Caching") -------
 
 // Child-index path from `root` down to `target` (exclusive of root).
@@ -426,20 +446,7 @@ Pipeline::Outcome& Pipeline::process_into(const http::Request& request,
 
 Pipeline::Outcome& Pipeline::process_wire_into(std::string_view wire,
                                                ProcessScratch& state) const {
-  stage_mark(state);
-  state.parser.reset();
-  const std::size_t consumed = state.parser.feed(wire);
-  if (!state.parser.done() || consumed != wire.size()) {
-    Outcome& out = state.outcome;
-    out.reset();
-    out.response.status = 400;
-    out.response.reason.assign("Bad Request");
-    out.detail.assign(state.parser.failed() ? state.parser.error()
-                                            : "incomplete request");
-    stage_record(state, util::Stage::kParse);
-    return out;
-  }
-  stage_record(state, util::Stage::kParse);
+  if (!frame_wire(wire, state)) return state.outcome;
   return process_into(state.parser.request(), state);
 }
 
@@ -453,33 +460,11 @@ const Pipeline::Outcome& Pipeline::process_wire(std::string_view wire,
   return process_wire_into(wire, scratch);
 }
 
-Pipeline::Outcome Pipeline::process(const http::Request& request,
-                                    ProcessScratch* scratch) const {
-  if (scratch != nullptr) {
-    return std::move(process_into(request, *scratch));
-  }
-  ProcessScratch local;
-  return std::move(process_into(request, local));
-}
-
 Pipeline::Outcome Pipeline::process_wire(std::string_view wire,
                                          ProcessScratch* scratch) const {
   ProcessScratch local;
   ProcessScratch& state = scratch != nullptr ? *scratch : local;
-  stage_mark(state);
-  state.parser.reset();
-  const std::size_t consumed = state.parser.feed(wire);
-  if (!state.parser.done() || consumed != wire.size()) {
-    Outcome& out = state.outcome;
-    out.reset();
-    out.response.status = 400;
-    out.response.reason.assign("Bad Request");
-    out.detail.assign(state.parser.failed() ? state.parser.error()
-                                            : "incomplete request");
-    stage_record(state, util::Stage::kParse);
-    return std::move(out);
-  }
-  stage_record(state, util::Stage::kParse);
+  if (!frame_wire(wire, state)) return std::move(state.outcome);
   // Unlike the reference-returning variant, the parsed request is moved
   // into the scratch so callers (e.g. trace capture) can keep it alive.
   state.request = state.parser.take_request();

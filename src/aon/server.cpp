@@ -6,7 +6,6 @@
 
 #include "xaon/util/annotations.hpp"
 #include "xaon/util/assert.hpp"
-#include "xaon/util/backoff.hpp"
 #include "xaon/util/metrics.hpp"
 #include "xaon/util/spsc_queue.hpp"
 
@@ -39,9 +38,97 @@
 
 namespace xaon::aon {
 
+GatewayWorker::GatewayWorker(const GatewayConfig& config) : config_(config) {
+  scratch.metrics = &metrics;  // parse/route/serialize spans
+  if (scratch.route_cache.capacity() != config.route_cache_capacity) {
+    scratch.route_cache.set_capacity(config.route_cache_capacity);
+  }
+}
+
+int GatewayWorker::forward(const Pipeline::Outcome& outcome) {
+  ++messages_;
+  if (!outcome.ok) {
+    ++failed_;
+    return outcome.response.status;
+  }
+  if (outcome.routed_primary) {
+    ++primary_;
+  } else {
+    ++error_;
+  }
+  if (config_.downstream == nullptr) return outcome.response.status;
+
+  // Bounded retry budget: an exhausted budget degrades this one message
+  // to 502/503 and the worker moves on — a dead downstream never wedges
+  // the queue or the event loop.
+  const std::uint64_t fwd_start = util::metrics_now_ns();
+  SendStatus verdict = SendStatus::kAck;
+  retry_backoff_.reset();
+  for (std::size_t attempt = 0;; ++attempt) {
+    verdict = config_.downstream->send(outcome.forwarded_wire);
+    if (verdict == SendStatus::kAck) break;
+    if (attempt + 1 >= config_.forward.max_attempts) break;
+    ++retries_;
+    for (std::uint32_t p = 0; p < config_.forward.backoff_pauses; ++p) {
+      retry_backoff_.pause();
+    }
+  }
+  int status = outcome.response.status;
+  if (verdict == SendStatus::kBusy) {
+    status = 503;  // transient overload: shed
+    ++fwd_shed_;
+  } else if (verdict == SendStatus::kFail) {
+    status = 502;  // hard downstream failure
+    ++fwd_failures_;
+  }
+  metrics.record_stage(util::Stage::kForward,
+                       util::metrics_now_ns() - fwd_start);
+  return status;
+}
+
+void GatewayWorker::finish(int status, std::uint64_t start_ns) {
+  // Explicit classification: a 1xx/3xx (or out-of-range) status lands
+  // in its own bucket, never silently in 4xx.
+  status_.add(status);
+  metrics.record_message(util::metrics_now_ns() - start_ns);
+  // The arena still holds this message's DOM (it resets at the START of
+  // the next message), so its footprint right here IS the message's
+  // arena cost. Two gauge stores, allocation-free.
+  metrics.record_arena(scratch.arena.bytes_allocated(),
+                       scratch.arena.bytes_retained());
+}
+
+void GatewayWorker::reject_unframed(std::uint64_t start_ns) {
+  ++messages_;
+  ++failed_;
+  status_.add(400);
+  metrics.record_message(util::metrics_now_ns() - start_ns);
+}
+
+void GatewayWorker::drain() {
+  // Off the message path: one struct copy each.
+  metrics.record_route_cache(scratch.route_cache.stats());
+  metrics.record_scan(util::scan::thread_counters());
+}
+
+void GatewayWorker::merge_into(GatewayStats& stats) const {
+  stats.messages += messages_;
+  stats.routed_primary += primary_;
+  stats.routed_error += error_;
+  stats.failed += failed_;
+  stats.status.merge(status_);
+  stats.forward_retries += retries_;
+  stats.forward_failures += fwd_failures_;
+  stats.forward_shed += fwd_shed_;
+  stats.metrics.add_worker(metrics);
+  // Every message lands in exactly one status bucket by construction;
+  // the check guards against a future bucket being added but not merged.
+  XAON_CHECK(stats.status.total() == stats.messages);
+}
+
 Server::Server(const ServerConfig& config)
     : config_(config), pipeline_(config.use_case) {
-  XAON_CHECK(config.workers >= 1);
+  config.check();
 }
 
 LoadResult Server::run_load(const std::vector<std::string>& wires,
@@ -50,17 +137,10 @@ LoadResult Server::run_load(const std::vector<std::string>& wires,
   const std::size_t n_workers = config_.workers;
 
   struct WorkerState {
-    explicit WorkerState(std::size_t capacity) : queue(capacity) {}
+    explicit WorkerState(const ServerConfig& config)
+        : queue(config.queue_capacity), gateway(config) {}
     util::SpscQueue<const std::string*> queue;
-    std::uint64_t processed = 0;
-    std::uint64_t primary = 0;
-    std::uint64_t error = 0;
-    std::uint64_t failed = 0;
-    StatusBuckets status;
-    std::uint64_t retries = 0;
-    std::uint64_t fwd_failures = 0;
-    std::uint64_t fwd_shed = 0;
-    util::WorkerMetrics metrics;
+    GatewayWorker gateway;
     /// When this worker drained its queue and exited — read after
     /// join(); max over workers closes the dispatch-to-drain window.
     std::uint64_t finish_ns = 0;
@@ -69,7 +149,7 @@ LoadResult Server::run_load(const std::vector<std::string>& wires,
   std::vector<std::unique_ptr<WorkerState>> states;
   states.reserve(n_workers);
   for (std::size_t i = 0; i < n_workers; ++i) {
-    states.push_back(std::make_unique<WorkerState>(config_.queue_capacity));
+    states.push_back(std::make_unique<WorkerState>(config_));
   }
 
   std::atomic<bool> done{false};
@@ -79,18 +159,9 @@ LoadResult Server::run_load(const std::vector<std::string>& wires,
 
   for (std::size_t w = 0; w < n_workers; ++w) {
     workers.emplace_back([this, &done, state = states[w].get()] {
-      // Per-worker scratch: parser buffers, DOM arena, node-set pools
-      // and the outcome are reused across every message this worker
-      // handles — the steady-state path does not touch the allocator.
-      Pipeline::ProcessScratch scratch;
-      scratch.metrics = &state->metrics;  // parse/route/serialize spans
-      if (scratch.route_cache.capacity() != config_.route_cache_capacity) {
-        scratch.route_cache.set_capacity(config_.route_cache_capacity);
-      }
       // Scan-kernel counters are thread-local; start this worker's
-      // window at zero so the drain-time copy below is exact.
+      // window at zero so the drain-time copy is exact.
       util::scan::reset_thread_counters();
-      util::Backoff retry_backoff;
       // acquire: pairs with the acceptor's release store below — done
       // observed true implies every earlier push is visible (see the
       // file-top contract).
@@ -100,62 +171,13 @@ LoadResult Server::run_load(const std::vector<std::string>& wires,
       while (auto item = state->queue.pop_wait(stop)) {
         const std::uint64_t msg_start = util::metrics_now_ns();
         const Pipeline::Outcome& outcome =
-            pipeline_.process_wire(**item, scratch);
-        ++state->processed;
-        if (!outcome.ok) {
-          ++state->failed;
-        } else if (outcome.routed_primary) {
-          ++state->primary;
-        } else {
-          ++state->error;
-        }
-
-        // Forward with a bounded retry budget; an exhausted budget
-        // degrades this one message to 502/503 and the worker moves on —
-        // a dead downstream never wedges the queue.
-        int status = outcome.response.status;
-        if (outcome.ok && config_.downstream != nullptr) {
-          const std::uint64_t fwd_start = util::metrics_now_ns();
-          SendStatus verdict = SendStatus::kAck;
-          retry_backoff.reset();
-          for (std::size_t attempt = 0;; ++attempt) {
-            verdict = config_.downstream->send(outcome.forwarded_wire);
-            if (verdict == SendStatus::kAck) break;
-            if (attempt + 1 >= config_.forward.max_attempts) break;
-            ++state->retries;
-            for (std::uint32_t p = 0; p < config_.forward.backoff_pauses;
-                 ++p) {
-              retry_backoff.pause();
-            }
-          }
-          if (verdict == SendStatus::kBusy) {
-            status = 503;
-            ++state->fwd_shed;
-          } else if (verdict == SendStatus::kFail) {
-            status = 502;
-            ++state->fwd_failures;
-          }
-          state->metrics.record_stage(util::Stage::kForward,
-                                      util::metrics_now_ns() - fwd_start);
-        }
-        // Explicit classification: a 1xx/3xx (or out-of-range) status
-        // lands in its own bucket, never silently in 4xx.
-        state->status.add(status);
-        state->metrics.record_message(util::metrics_now_ns() - msg_start);
-        // The arena still holds this message's DOM (it resets at the
-        // START of the next message), so its footprint right here IS
-        // the message's arena cost. Two gauge stores, allocation-free.
-        state->metrics.record_arena(scratch.arena.bytes_allocated(),
-                                    scratch.arena.bytes_retained());
+            pipeline_.process_wire(**item, state->gateway.scratch);
+        state->gateway.finish(state->gateway.forward(outcome), msg_start);
       }
-      // Queue drained: publish this worker's cache counters (one struct
-      // copy, off the message path; read by the acceptor after join).
-      state->metrics.record_route_cache(scratch.route_cache.stats());
-      state->metrics.record_scan(util::scan::thread_counters());
+      state->gateway.drain();
       state->finish_ns = util::metrics_now_ns();
     });
   }
-
   // Dispatch round-robin (the acceptor thread role); push_wait spins
   // with bounded pause-backoff when a worker's queue is full.
   //
@@ -191,30 +213,10 @@ LoadResult Server::run_load(const std::vector<std::string>& wires,
   LoadResult result;
   std::uint64_t last_drain = dispatch_start;
   for (const auto& s : states) {
-    result.messages += s->processed;
-    result.routed_primary += s->primary;
-    result.routed_error += s->error;
-    result.failed += s->failed;
-    result.status_1xx += s->status.s1xx;
-    result.status_2xx += s->status.s2xx;
-    result.status_3xx += s->status.s3xx;
-    result.status_4xx += s->status.s4xx;
-    result.status_5xx += s->status.s5xx;
-    result.status_other += s->status.other;
-    result.forward_retries += s->retries;
-    result.forward_failures += s->fwd_failures;
-    result.forward_shed += s->fwd_shed;
-    result.metrics.add_worker(s->metrics);
+    s->gateway.merge_into(result);
     if (s->finish_ns > last_drain) last_drain = s->finish_ns;
   }
   result.metrics.capture_probe_sites();
-  // Every processed message lands in exactly one status bucket — the
-  // explicit classification above makes this reconcile by construction;
-  // the check guards against a future bucket being added but not merged.
-  XAON_CHECK(result.status_1xx + result.status_2xx + result.status_3xx +
-                 result.status_4xx + result.status_5xx +
-                 result.status_other ==
-             result.messages);
   // Dispatch-to-drain window (throughput denominator) vs. full harness
   // span: see LoadResult. finish_ns is written by each worker before
   // join(), which provides the happens-before edge for reading it here.

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <thread>
@@ -35,14 +36,20 @@
 ///   stop flags, so no handoff push can race a worker's final drain;
 ///   the release store / acquire load pairing makes every earlier push
 ///   visible to a worker that observes stop==true.
-/// * Worker stats (counters, WorkerMetrics, StatusBuckets) are written
-///   by exactly one event-loop thread while it runs and read by stop()
+/// * Worker stats (each worker's aon::GatewayWorker) are written by
+///   exactly one event-loop thread while it runs and read by stop()
 ///   only after join() — the join provides the happens-before edge, so
 ///   the fields carry no locks (TSan tier covers this file).
 
 namespace xaon::net {
 
 namespace {
+
+constexpr std::size_t kHandoffCapacity = 256;  ///< acceptor->worker fd ring
+/// Per-read buffer; also the largest chunk the parser sees at once.
+constexpr std::size_t kReadChunk = 64 * 1024;
+/// Per-message HTTP body cap: a larger Content-Length gets 400 + close.
+constexpr std::size_t kMaxBody = 16 * 1024 * 1024;
 
 // Decimal append without std::to_string (alloc-free into the reused
 // response buffer).
@@ -126,22 +133,14 @@ struct Connection {
 }  // namespace
 
 /// One event-loop thread: epoll over its connections plus the handoff
-/// eventfd. Owns a Pipeline::ProcessScratch (arena, parser pools,
-/// route cache) shared by every connection it serves — per-message
-/// state lives in the scratch, per-connection framing state in the
-/// Connection.
+/// eventfd. Owns an aon::GatewayWorker whose ProcessScratch (arena,
+/// parser pools, route cache) is shared by every connection it serves —
+/// per-message state lives in the scratch, per-connection framing state
+/// in the Connection.
 class Worker {
  public:
   Worker(const ServerConfig& config, const aon::Pipeline& pipeline)
-      : handoff(config.handoff_capacity),
-        config_(config),
-        pipeline_(pipeline) {
-    scratch_.metrics = &metrics;
-    if (scratch_.route_cache.capacity() != config.route_cache_capacity) {
-      scratch_.route_cache.set_capacity(config.route_cache_capacity);
-    }
-    read_buf_.resize(config.read_chunk);
-  }
+      : handoff(kHandoffCapacity), gateway(config), pipeline_(pipeline) {}
 
   ~Worker() {
     XAON_CHECK(!thread.joinable());
@@ -181,15 +180,7 @@ class Worker {
   std::thread thread;
 
   // Single-writer while the loop runs; read by stop() after join().
-  std::uint64_t processed = 0;
-  std::uint64_t primary = 0;
-  std::uint64_t error = 0;
-  std::uint64_t failed = 0;
-  aon::StatusBuckets status;
-  std::uint64_t retries = 0;
-  std::uint64_t fwd_failures = 0;
-  std::uint64_t fwd_shed = 0;
-  util::WorkerMetrics metrics;
+  aon::GatewayWorker gateway;
 
  private:
   void run() {
@@ -226,8 +217,8 @@ class Worker {
         // then drop every live connection.
         while (auto fd = handoff.try_pop()) {
           ::close(*fd);
-          ++metrics.net().accepted;
-          ++metrics.net().closed;
+          ++gateway.metrics.net().accepted;
+          ++gateway.metrics.net().closed;
         }
         for (auto& c : conns_) {
           if (c->fd >= 0) close_connection(c.get());
@@ -235,9 +226,7 @@ class Worker {
         break;
       }
     }
-    // Off the message path: publish the route cache counters once.
-    metrics.record_route_cache(scratch_.route_cache.stats());
-    metrics.record_scan(util::scan::thread_counters());
+    gateway.drain();
   }
 
   void drain_eventfd() {
@@ -254,7 +243,7 @@ class Worker {
     } else {
       conns_.push_back(std::make_unique<Connection>());
       c = conns_.back().get();
-      c->parser.set_max_body(config_.max_body);
+      c->parser.set_max_body(kMaxBody);
     }
     c->fd = fd;
     c->parser.reset();
@@ -273,14 +262,14 @@ class Worker {
       free_.push_back(c);
       return;
     }
-    ++metrics.net().accepted;
+    ++gateway.metrics.net().accepted;
   }
 
   void close_connection(Connection* c) {
     if (c->fd < 0) return;
     ::close(c->fd);  // the kernel deregisters it from epoll
     c->fd = -1;
-    ++metrics.net().closed;
+    ++gateway.metrics.net().closed;
     free_.push_back(c);
   }
 
@@ -297,7 +286,7 @@ class Worker {
   /// arrive. Never reads past a framing error (the hostile stream gets
   /// its 400 and the close flag; reading on would just burn cycles).
   void handle_readable(Connection* c) {
-    util::NetCounters& net = metrics.net();
+    util::NetCounters& net = gateway.metrics.net();
     for (;;) {
       const ssize_t n = ::read(c->fd, read_buf_.data(), read_buf_.size());
       if (n > 0) {
@@ -335,21 +324,18 @@ class Worker {
       const std::size_t used = c->parser.feed(data);
       c->parse_ns += util::metrics_now_ns() - t0;
       data.remove_prefix(used);
-      if (c->parser.failed()) {
-        // Bytes that never framed a request: 400, close, count it.
-        ++processed;
-        ++failed;
-        status.add(400);
-        append_bad_request(c->out);
-        c->close_after_flush = true;
-        metrics.record_stage(util::Stage::kParse, c->parse_ns);
-        c->parse_ns = 0;
-        metrics.record_message(util::metrics_now_ns() - c->msg_start_ns);
-        c->msg_start_ns = 0;
+      if (!c->parser.done() && !c->parser.failed()) {
+        XAON_CHECK(data.empty());  // feed() consumes all or completes
         return;
       }
-      if (!c->parser.done()) {
-        XAON_CHECK(data.empty());  // feed() consumes all or completes
+      gateway.metrics.record_stage(util::Stage::kParse, c->parse_ns);
+      c->parse_ns = 0;
+      if (c->parser.failed()) {
+        // Bytes that never framed a request: 400, close, count it.
+        append_bad_request(c->out);
+        c->close_after_flush = true;
+        gateway.reject_unframed(c->msg_start_ns);
+        c->msg_start_ns = 0;
         return;
       }
       handle_message(c);
@@ -357,56 +343,19 @@ class Worker {
     }
   }
 
-  /// One complete request: pipeline, optional bounded-retry forward
-  /// (identical budget semantics to aon::Server::run_load), response
+  /// One complete request: pipeline, then the gateway step host mode
+  /// runs too (bounded-retry forward, accounting), with the response
   /// appended to the connection's drain buffer.
   void handle_message(Connection* c) {
-    metrics.record_stage(util::Stage::kParse, c->parse_ns);
-    c->parse_ns = 0;
     const http::Request& request = c->parser.request();
     const bool close = request.wants_close();
     const aon::Pipeline::Outcome& outcome =
-        pipeline_.process(request, scratch_);
-    ++processed;
-    if (!outcome.ok) {
-      ++failed;
-    } else if (outcome.routed_primary) {
-      ++primary;
-    } else {
-      ++error;
-    }
-
-    int status_code = outcome.response.status;
-    if (outcome.ok && config_.downstream != nullptr) {
-      const std::uint64_t fwd_start = util::metrics_now_ns();
-      aon::SendStatus verdict = aon::SendStatus::kAck;
-      retry_backoff_.reset();
-      for (std::size_t attempt = 0;; ++attempt) {
-        verdict = config_.downstream->send(outcome.forwarded_wire);
-        if (verdict == aon::SendStatus::kAck) break;
-        if (attempt + 1 >= config_.forward.max_attempts) break;
-        ++retries;
-        for (std::uint32_t p = 0; p < config_.forward.backoff_pauses; ++p) {
-          retry_backoff_.pause();
-        }
-      }
-      if (verdict == aon::SendStatus::kBusy) {
-        status_code = 503;  // transient overload: shed
-        ++fwd_shed;
-      } else if (verdict == aon::SendStatus::kFail) {
-        status_code = 502;  // hard downstream failure
-        ++fwd_failures;
-      }
-      metrics.record_stage(util::Stage::kForward,
-                           util::metrics_now_ns() - fwd_start);
-    }
-    status.add(status_code);
-    append_response(outcome.response, status_code, close, c->out);
+        pipeline_.process(request, gateway.scratch);
+    const int status = gateway.forward(outcome);
+    append_response(outcome.response, status, close, c->out);
     if (close) c->close_after_flush = true;
-    metrics.record_message(util::metrics_now_ns() - c->msg_start_ns);
+    gateway.finish(status, c->msg_start_ns);
     c->msg_start_ns = 0;
-    metrics.record_arena(scratch_.arena.bytes_allocated(),
-                         scratch_.arena.bytes_retained());
   }
 
   /// kDraining: write until the buffer empties or the kernel pushes
@@ -414,7 +363,7 @@ class Worker {
   /// resolves `close_after_flush`.
   void flush(Connection* c) {
     if (c->fd < 0) return;
-    util::NetCounters& net = metrics.net();
+    util::NetCounters& net = gateway.metrics.net();
     while (c->out_pos < c->out.size()) {
       const std::size_t want = c->out.size() - c->out_pos;
       const ssize_t n =
@@ -439,15 +388,12 @@ class Worker {
     if (c->close_after_flush) close_connection(c);
   }
 
-  const ServerConfig& config_;
   const aon::Pipeline& pipeline_;
-  aon::Pipeline::ProcessScratch scratch_;
-  util::Backoff retry_backoff_;
   Fd epoll_fd_;
   Fd event_fd_;
   std::vector<std::unique_ptr<Connection>> conns_;  ///< owns every Connection
   std::vector<Connection*> free_;                   ///< recycling list
-  std::vector<char> read_buf_;
+  std::array<char, kReadChunk> read_buf_;
 };
 
 struct Server::Impl {
@@ -515,7 +461,7 @@ void Server::Impl::accept_loop() {
 
 Server::Server(const ServerConfig& config)
     : impl_(std::make_unique<Impl>(config)) {
-  XAON_CHECK(config.workers >= 1);
+  config.check();
 }
 
 Server::~Server() { stop(); }
@@ -577,25 +523,12 @@ const ServerStats& Server::stop() {
   }
   for (auto& w : im.workers) w->thread.join();
 
-  ServerStats& s = im.stats;
-  for (auto& w : im.workers) {
-    s.messages += w->processed;
-    s.routed_primary += w->primary;
-    s.routed_error += w->error;
-    s.failed += w->failed;
-    s.status.merge(w->status);
-    s.forward_retries += w->retries;
-    s.forward_failures += w->fwd_failures;
-    s.forward_shed += w->fwd_shed;
-    s.metrics.add_worker(w->metrics);
-  }
-  s.metrics.capture_probe_sites();
-  // Every processed message landed in exactly one bucket.
-  XAON_CHECK(s.status.total() == s.messages);
+  for (auto& w : im.workers) w->gateway.merge_into(im.stats);
+  im.stats.metrics.capture_probe_sites();
   im.workers.clear();
   im.stop_event.reset();
   im.running = false;
-  return s;
+  return im.stats;
 }
 
 const ServerStats& Server::stats() const { return impl_->stats; }

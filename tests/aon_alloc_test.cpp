@@ -10,6 +10,7 @@
 
 #include "xaon/aon/messages.hpp"
 #include "xaon/aon/pipeline.hpp"
+#include "xaon/aon/server.hpp"
 
 namespace xaon::aon {
 namespace {
@@ -25,31 +26,48 @@ std::vector<std::string> make_wires() {
   return wires;
 }
 
+class AckDownstream : public Downstream {
+ public:
+  SendStatus send(std::string_view) override { return SendStatus::kAck; }
+};
+
 // Allocations per message at steady state: warm the scratch (string
-// capacities, pooled vectors, thread-local VM state), then count.
-// Metrics recording is attached exactly as Server::run_load attaches
-// it — the zero-allocation contract must hold with the spine enabled.
-std::uint64_t steady_state_allocs(UseCase use_case) {
+// capacities, pooled vectors, thread-local VM state), then count. The
+// scratch and metrics are a GatewayWorker's, attached exactly as both
+// servers attach them — the zero-allocation contract must hold with
+// the spine enabled. With `gateway`, each message also takes the step
+// both servers run after the pipeline: forward to an always-ack
+// downstream, then finish.
+std::uint64_t steady_state_allocs(UseCase use_case, bool gateway = false) {
   const std::vector<std::string> wires = make_wires();
   Pipeline pipeline(use_case);
-  util::WorkerMetrics metrics;
-  Pipeline::ProcessScratch scratch;
-  scratch.metrics = &metrics;
+  AckDownstream downstream;
+  GatewayConfig config;
+  config.use_case = use_case;
+  config.downstream = &downstream;
+  GatewayWorker worker(config);
+  const auto step = [&](const std::string& wire) {
+    const std::uint64_t start = util::metrics_now_ns();
+    const Pipeline::Outcome& out = pipeline.process_wire(wire, worker.scratch);
+    EXPECT_TRUE(out.ok) << out.detail;
+    if (gateway) worker.finish(worker.forward(out), start);
+  };
   for (int rep = 0; rep < 4; ++rep) {
-    for (const std::string& wire : wires) {
-      const Pipeline::Outcome& out = pipeline.process_wire(wire, scratch);
-      EXPECT_TRUE(out.ok) << out.detail;
-    }
+    for (const std::string& wire : wires) step(wire);
   }
   bench::reset_alloc_counter();
   for (int rep = 0; rep < 4; ++rep) {
-    for (const std::string& wire : wires) {
-      (void)pipeline.process_wire(wire, scratch);
-    }
+    for (const std::string& wire : wires) step(wire);
   }
   const std::uint64_t messages = 4 * wires.size();
   // The spine really was live: every counted message recorded spans.
-  EXPECT_EQ(metrics.stage(util::Stage::kParse).count(), 8 * wires.size());
+  EXPECT_EQ(worker.metrics.stage(util::Stage::kParse).count(),
+            8 * wires.size());
+  if (gateway) {
+    EXPECT_EQ(worker.metrics.stage(util::Stage::kForward).count(),
+              8 * wires.size());
+    EXPECT_EQ(worker.metrics.messages(), 8 * wires.size());
+  }
   // Round up so even one allocation across the whole run registers.
   return (bench::alloc_count() + messages - 1) / messages;
 }
@@ -87,6 +105,15 @@ TEST(AllocRegression, ContentRoutingSteadyStateStaysUnderBudget) {
 
 TEST(AllocRegression, SchemaValidationSteadyStateStaysUnderBudget) {
   EXPECT_LE(steady_state_allocs(UseCase::kSchemaValidation), 2u);
+}
+
+TEST(AllocRegression, GatewayStepSteadyStateIsAllocationFree) {
+  for (const UseCase use_case :
+       {UseCase::kForwardRequest, UseCase::kContentBasedRouting,
+        UseCase::kSchemaValidation}) {
+    EXPECT_EQ(steady_state_allocs(use_case, /*gateway=*/true), 0u)
+        << static_cast<int>(use_case);
+  }
 }
 
 }  // namespace

@@ -56,8 +56,8 @@ TEST(Dpi, SignatureHitsRouteToError) {
            {"sqli", "<order><customer>' UNION SELECT * FROM t</customer></order>"},
            {"traversal", "<order><file>../../../../etc/shadow</file></order>"},
            {"passwd", "<order><p>/etc/passwd</p></order>"}}) {
-    const auto out =
-        dpi.process(make_post_request(c.payload));
+    Pipeline::ProcessScratch scratch;
+    const auto& out = dpi.process(make_post_request(c.payload), scratch);
     EXPECT_TRUE(out.ok) << c.name;
     EXPECT_FALSE(out.routed_primary) << c.name;
     EXPECT_NE(out.detail.find("signature match"), std::string::npos)
@@ -114,7 +114,8 @@ TEST(Sec, WrongSignatureRejected) {
   Pipeline sec(UseCase::kMessageSecurity);
   http::Request req = make_post_request(make_order_message());
   req.headers.add(kSignatureHeader, std::string(40, '0'));
-  const auto out = sec.process(req);
+  Pipeline::ProcessScratch scratch;
+  const auto& out = sec.process(req, scratch);
   EXPECT_FALSE(out.routed_primary);
   EXPECT_EQ(out.response.status, 403);
 }

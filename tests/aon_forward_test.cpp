@@ -1,6 +1,6 @@
 // Server forward path: bounded retry-with-backoff against faulty
 // downstreams, 502/503 degradation, and the exactly-one-response
-// invariant (status_2xx + status_4xx + status_5xx == messages).
+// invariant (status.s2xx + status.s4xx + status.s5xx == messages).
 
 #include <gtest/gtest.h>
 
@@ -75,8 +75,8 @@ TEST(ServerForward, HealthyDownstreamAllAcked) {
   Server server(config);
   const LoadResult result = server.run_load(order_wires(), 400);
   EXPECT_EQ(result.messages, 400u);
-  EXPECT_EQ(result.status_2xx, 400u);
-  EXPECT_EQ(result.status_5xx, 0u);
+  EXPECT_EQ(result.status.s2xx, 400u);
+  EXPECT_EQ(result.status.s5xx, 0u);
   EXPECT_EQ(result.forward_retries, 0u);
   EXPECT_EQ(downstream.sends(), 400u);
 }
@@ -92,9 +92,9 @@ TEST(ServerForward, DeadDownstreamDegradesTo502) {
   Server server(config);
   const LoadResult result = server.run_load(order_wires(), 200);
   EXPECT_EQ(result.messages, 200u);
-  EXPECT_EQ(result.status_5xx, 200u);
+  EXPECT_EQ(result.status.s5xx, 200u);
   EXPECT_EQ(result.forward_failures, 200u);
-  EXPECT_EQ(result.status_2xx + result.status_4xx + result.status_5xx,
+  EXPECT_EQ(result.status.s2xx + result.status.s4xx + result.status.s5xx,
             result.messages);
   // Retry budget honored exactly: 3 attempts per message, no more.
   EXPECT_EQ(downstream.sends(), 600u);
@@ -112,7 +112,7 @@ TEST(ServerForward, BusyDownstreamShedsAs503) {
   Server server(config);
   const LoadResult result = server.run_load(order_wires(), 100);
   EXPECT_EQ(result.messages, 100u);
-  EXPECT_EQ(result.status_5xx, 100u);
+  EXPECT_EQ(result.status.s5xx, 100u);
   EXPECT_EQ(result.forward_shed, 100u);
   EXPECT_EQ(result.forward_failures, 0u);
 }
@@ -128,8 +128,8 @@ TEST(ServerForward, FlakyDownstreamRecoversViaRetry) {
   Server server(config);
   const LoadResult result = server.run_load(order_wires(), 100);
   EXPECT_EQ(result.messages, 100u);
-  EXPECT_EQ(result.status_2xx, 100u);
-  EXPECT_EQ(result.status_5xx, 0u);
+  EXPECT_EQ(result.status.s2xx, 100u);
+  EXPECT_EQ(result.status.s5xx, 0u);
   EXPECT_EQ(result.forward_retries, 100u);  // one retry per message
 }
 
@@ -145,8 +145,8 @@ TEST(ServerForward, MalformedMessagesCount4xxRegardlessOfDownstream) {
   // 5 wires cycling over 500 messages: 100 hit the malformed wire.
   const LoadResult result = server.run_load(wires, 500);
   EXPECT_EQ(result.messages, 500u);
-  EXPECT_EQ(result.status_4xx, 100u);
-  EXPECT_EQ(result.status_2xx, 400u);
+  EXPECT_EQ(result.status.s4xx, 100u);
+  EXPECT_EQ(result.status.s2xx, 400u);
   EXPECT_EQ(result.failed, 100u);
   // Rejected messages never reach the downstream.
   EXPECT_EQ(downstream.sends(), 400u);
@@ -158,9 +158,17 @@ TEST(ServerForward, NoDownstreamStillBucketsResponses) {
   config.workers = 2;
   Server server(config);
   const LoadResult result = server.run_load(order_wires(), 100);
-  EXPECT_EQ(result.status_2xx, 100u);
-  EXPECT_EQ(result.status_2xx + result.status_4xx + result.status_5xx,
+  EXPECT_EQ(result.status.s2xx, 100u);
+  EXPECT_EQ(result.status.s2xx + result.status.s4xx + result.status.s5xx,
             result.messages);
+}
+
+// "At most max_attempts sends": a zero budget would still send once, so
+// construction rejects it.
+TEST(ServerForwardDeath, ZeroAttemptBudgetIsRejected) {
+  ServerConfig config;
+  config.forward.max_attempts = 0;
+  EXPECT_DEATH(Server{config}, "max_attempts");
 }
 
 }  // namespace

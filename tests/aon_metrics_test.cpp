@@ -108,7 +108,7 @@ TEST(ServerMetrics, ForwardStageRecordedWithDownstream) {
   const std::uint64_t n = 200;
   const LoadResult result = server.run_load(order_wires(4), n);
   EXPECT_EQ(result.metrics.stages[3].count(), n);  // forward span per msg
-  EXPECT_EQ(result.status_2xx, n);
+  EXPECT_EQ(result.status.s2xx, n);
 }
 
 TEST(ServerMetrics, SnapshotJsonSurfacesStagesAndProbes) {
@@ -137,7 +137,7 @@ TEST(ServerMetrics, FailedMessagesStillTimeTheParseStage) {
   const std::uint64_t n = 100;
   const LoadResult result = server.run_load(garbage, n);
   EXPECT_EQ(result.failed, n);
-  EXPECT_EQ(result.status_4xx, n);
+  EXPECT_EQ(result.status.s4xx, n);
   const util::MetricsSnapshot& m = result.metrics;
   EXPECT_EQ(m.stages[0].count(), n);   // parse span recorded on the 400 path
   EXPECT_EQ(m.stages[2].count(), 0u);  // nothing serialized

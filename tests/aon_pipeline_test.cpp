@@ -74,7 +74,8 @@ TEST(Pipeline, SvHandlesBarePayloadWithoutEnvelope) {
       R"(<order id="1"><customer>c</customer>)"
       R"(<item><sku>AB-123</sku><quantity>2</quantity>)"
       R"(<price>1.50</price></item></order>)");
-  const auto out = sv.process(req);
+  Pipeline::ProcessScratch scratch;
+  const auto& out = sv.process(req, scratch);
   EXPECT_TRUE(out.ok);
   EXPECT_TRUE(out.routed_primary) << out.detail;
 }
@@ -82,7 +83,8 @@ TEST(Pipeline, SvHandlesBarePayloadWithoutEnvelope) {
 TEST(Pipeline, SvUnknownRootGoesToErrorEndpoint) {
   Pipeline sv(UseCase::kSchemaValidation);
   http::Request req = make_post_request("<invoice/>");
-  const auto out = sv.process(req);
+  Pipeline::ProcessScratch scratch;
+  const auto& out = sv.process(req, scratch);
   EXPECT_TRUE(out.ok);
   EXPECT_FALSE(out.routed_primary);
   EXPECT_EQ(out.detail, "no declaration");

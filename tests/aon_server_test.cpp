@@ -194,11 +194,11 @@ TEST(Server, StatusBucketsReconcileUnderMixedOutcomes) {
   const LoadResult result = server.run_load(wires, 500);
   EXPECT_EQ(result.messages, 500u);
   // The stock pipeline never emits 1xx/3xx or out-of-range statuses.
-  EXPECT_EQ(result.status_1xx, 0u);
-  EXPECT_EQ(result.status_3xx, 0u);
-  EXPECT_EQ(result.status_other, 0u);
-  EXPECT_GT(result.status_4xx, 0u);  // the garbage wire
-  EXPECT_EQ(result.status_2xx + result.status_4xx + result.status_5xx,
+  EXPECT_EQ(result.status.s1xx, 0u);
+  EXPECT_EQ(result.status.s3xx, 0u);
+  EXPECT_EQ(result.status.other, 0u);
+  EXPECT_GT(result.status.s4xx, 0u);  // the garbage wire
+  EXPECT_EQ(result.status.s2xx + result.status.s4xx + result.status.s5xx,
             result.messages);
 }
 

@@ -199,12 +199,12 @@ void expect_server_differential(UseCase use_case, std::size_t workers) {
   EXPECT_EQ(a.routed_primary, b.routed_primary);
   EXPECT_EQ(a.routed_error, b.routed_error);
   EXPECT_EQ(a.failed, b.failed);
-  EXPECT_EQ(a.status_1xx, b.status_1xx);
-  EXPECT_EQ(a.status_2xx, b.status_2xx);
-  EXPECT_EQ(a.status_3xx, b.status_3xx);
-  EXPECT_EQ(a.status_4xx, b.status_4xx);
-  EXPECT_EQ(a.status_5xx, b.status_5xx);
-  EXPECT_EQ(a.status_other, b.status_other);
+  EXPECT_EQ(a.status.s1xx, b.status.s1xx);
+  EXPECT_EQ(a.status.s2xx, b.status.s2xx);
+  EXPECT_EQ(a.status.s3xx, b.status.s3xx);
+  EXPECT_EQ(a.status.s4xx, b.status.s4xx);
+  EXPECT_EQ(a.status.s5xx, b.status.s5xx);
+  EXPECT_EQ(a.status.other, b.status.other);
   EXPECT_EQ(a.forward_retries, b.forward_retries);
   EXPECT_EQ(a.forward_failures, b.forward_failures);
   EXPECT_EQ(a.forward_shed, b.forward_shed);

@@ -4,7 +4,7 @@
 // failure-model invariants:
 //
 //   * every message gets exactly one response
-//     (status_2xx + status_4xx + status_5xx == messages),
+//     (status.s2xx + status.s4xx + status.s5xx == messages),
 //   * no crash (and no leak under the sanitize preset),
 //   * same seed => bit-identical outcome counts, regardless of worker
 //     interleaving (downstream verdicts are pure functions of the wire
@@ -182,8 +182,8 @@ struct Counts {
 
 Counts counts_of(const LoadResult& r) {
   return Counts{r.messages,     r.routed_primary,   r.routed_error,
-                r.failed,       r.status_2xx,       r.status_4xx,
-                r.status_5xx,   r.forward_retries,  r.forward_failures,
+                r.failed,       r.status.s2xx,       r.status.s4xx,
+                r.status.s5xx,   r.forward_retries,  r.forward_failures,
                 r.forward_shed};
 }
 
@@ -192,11 +192,11 @@ class ChaosTest : public ::testing::TestWithParam<UseCase> {};
 TEST_P(ChaosTest, EveryMessageGetsExactlyOneResponse) {
   const LoadResult r = run_chaos(GetParam(), kChaosSeed);
   EXPECT_EQ(r.messages, kMessagesPerCase);
-  EXPECT_EQ(r.status_2xx + r.status_4xx + r.status_5xx, r.messages);
+  EXPECT_EQ(r.status.s2xx + r.status.s4xx + r.status.s5xx, r.messages);
   // The corpus contains faults, and they were classified, not crashed on.
   EXPECT_GT(r.failed, 0u);
-  EXPECT_GT(r.status_5xx, 0u);  // the downstream misbehaved too
-  EXPECT_GT(r.status_2xx, 0u);  // and clean traffic still flowed
+  EXPECT_GT(r.status.s5xx, 0u);  // the downstream misbehaved too
+  EXPECT_GT(r.status.s2xx, 0u);  // and clean traffic still flowed
 }
 
 TEST_P(ChaosTest, SameSeedBitIdenticalOutcomeCounts) {

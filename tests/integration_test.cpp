@@ -47,7 +47,8 @@ TEST(Integration, MessageOverSimulatedTcpThroughPipeline) {
   EXPECT_GT(stream.stats().segments_sent, 2u);  // 5KB spans several MSS
 
   aon::Pipeline cbr(aon::UseCase::kContentBasedRouting);
-  const auto outcome = cbr.process(parser.request());
+  aon::Pipeline::ProcessScratch scratch;
+  const auto& outcome = cbr.process(parser.request(), scratch);
   EXPECT_TRUE(outcome.ok);
   EXPECT_TRUE(outcome.routed_primary);  // default message has quantity=1
 }

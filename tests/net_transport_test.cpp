@@ -193,6 +193,33 @@ TEST(NetTransport, GarbageGets400AndClose) {
   EXPECT_EQ(stats.status.total(), 1u);
 }
 
+TEST(NetTransport, OverCapBodyGets400AndClose) {
+  net::ServerConfig config;
+  config.workers = 1;
+  net::Server server(config);
+  ASSERT_TRUE(server.start());
+
+  // One byte over the transport's 16 MiB body cap: rejected from the
+  // header alone, before any body byte is sent.
+  net::BlockingClient client;
+  ASSERT_TRUE(client.connect(server.port()));
+  ASSERT_TRUE(client.send(
+      "POST /orders HTTP/1.1\r\nHost: gw\r\n"
+      "Content-Length: 16777217\r\n\r\n"));
+  http::ResponseParser parser;
+  EXPECT_EQ(client.read_response(parser), 400);
+  EXPECT_EQ(parser.response().headers.get("Connection").value_or(""), "close");
+  EXPECT_EQ(client.read_response(parser), -1);  // server closed
+  client.close();
+
+  const net::ServerStats& stats = server.stop();
+  EXPECT_EQ(stats.messages, 1u);
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.status.s4xx, 1u);
+  EXPECT_EQ(stats.metrics.net.accepted, 1u);
+  EXPECT_EQ(stats.metrics.net.closed, stats.metrics.net.accepted);
+}
+
 TEST(NetTransport, ConnectionCloseHonored) {
   net::ServerConfig config;
   config.workers = 1;
