@@ -11,6 +11,11 @@
 /// counters report. Every op carries the code address it was fetched
 /// from (drives the I-side cache hierarchy) and, for memory ops, the
 /// data address.
+///
+/// The simulated address space is 32 bits wide: no modeled platform
+/// needs more, and a 12-byte op halves the memory a captured stream
+/// takes. Every producer checks (`fits_address_space`) that the regions
+/// it emits into lie below 4 GiB, so an address is never truncated.
 
 namespace xaon::uarch {
 
@@ -22,12 +27,22 @@ enum class OpKind : std::uint8_t {
 };
 
 struct Op {
-  std::uint64_t pc = 0;     ///< code address
-  std::uint64_t addr = 0;   ///< data address (loads/stores)
+  std::uint32_t pc = 0;     ///< code address
+  std::uint32_t addr = 0;   ///< data address (loads/stores)
   OpKind kind = OpKind::kAlu;
   std::uint8_t size = 4;    ///< access size in bytes
   bool taken = false;       ///< branch outcome
 };
+static_assert(sizeof(Op) == 12, "Op is the unit of trace memory");
+
+/// Size of the simulated address space (code and data alike).
+inline constexpr std::uint64_t kAddressSpaceBytes = 1ull << 32;
+
+/// True when the region [base, base + bytes) lies inside the simulated
+/// address space.
+constexpr bool fits_address_space(std::uint64_t base, std::uint64_t bytes) {
+  return base <= kAddressSpaceBytes && bytes <= kAddressSpaceBytes - base;
+}
 
 using Trace = std::vector<Op>;
 

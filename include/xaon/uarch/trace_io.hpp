@@ -13,7 +13,8 @@
 /// and the trace_inspector example replay identical instruction streams
 /// across processes and machines. The format is a fixed little-endian
 /// layout with a magic/version header and a length field — no host
-/// struct dumping, so files are portable.
+/// struct dumping, so files are portable. A record keeps 64-bit address
+/// fields on disk although `Op` holds 32-bit ones.
 
 namespace xaon::uarch {
 
@@ -35,8 +36,9 @@ struct TraceLoadResult {
   explicit operator bool() const { return ok; }
 };
 
-/// Reads a trace written by save_trace. Validates magic, version and
-/// op-kind ranges; a corrupt or truncated file yields ok=false with a
+/// Reads a trace written by save_trace. Validates magic, version,
+/// op-kind ranges and that every address fits the 32-bit simulated
+/// address space; a corrupt or truncated file yields ok=false with a
 /// diagnostic, never a partially-valid trace.
 TraceLoadResult load_trace(std::istream& in);
 TraceLoadResult load_trace(const std::string& path);

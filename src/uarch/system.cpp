@@ -348,7 +348,7 @@ RunResult System::run(const std::vector<const Trace*>& traces) {
         charge(op.addr, true, false);
         break;
       case OpKind::kBranch: {
-        ++c.branch_retired;  // scaled by expansion at the end
+        ++c.branch_retired;
         const bool miss = core.predictor.predict_and_update(
             static_cast<std::uint32_t>(thread.smt_slot), op.pc, op.taken);
         if (miss) {
@@ -379,8 +379,6 @@ RunResult System::run(const std::vector<const Trace*>& traces) {
         static_cast<std::uint64_t>(result.wall_ns * arch.freq_ghz);
     c.inst_retired = static_cast<std::uint64_t>(
         static_cast<double>(c.ops) * arch.uop_expansion);
-    c.branch_retired = static_cast<std::uint64_t>(
-        static_cast<double>(c.branch_retired) * 1.0);
     result.per_thread[i] = c;
     result.total += c;
   }

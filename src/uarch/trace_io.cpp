@@ -64,7 +64,7 @@ TraceLoadResult load_trace(std::istream& in) {
     result.error = "truncated header";
     return result;
   }
-  // Sanity bound: a trace record is 24 bytes; refuse absurd counts
+  // Sanity bound: an on-disk record is 24 bytes; refuse absurd counts
   // rather than attempting a 2^60-element reserve on a corrupt file.
   constexpr std::uint64_t kMaxOps = 1ull << 32;
   if (count > kMaxOps) {
@@ -73,11 +73,17 @@ TraceLoadResult load_trace(std::istream& in) {
   }
   result.trace.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
-    Op op;
+    std::uint64_t pc = 0;
+    std::uint64_t addr = 0;
     unsigned char meta[8];
-    if (!get_u64(in, &op.pc) || !get_u64(in, &op.addr) ||
+    if (!get_u64(in, &pc) || !get_u64(in, &addr) ||
         !in.read(reinterpret_cast<char*>(meta), 8)) {
       result.error = "truncated at op " + std::to_string(i);
+      result.trace.clear();
+      return result;
+    }
+    if (pc >= kAddressSpaceBytes || addr >= kAddressSpaceBytes) {
+      result.error = "address above 4 GiB at op " + std::to_string(i);
       result.trace.clear();
       return result;
     }
@@ -86,6 +92,9 @@ TraceLoadResult load_trace(std::istream& in) {
       result.trace.clear();
       return result;
     }
+    Op op;
+    op.pc = static_cast<std::uint32_t>(pc);
+    op.addr = static_cast<std::uint32_t>(addr);
     op.kind = static_cast<OpKind>(meta[0]);
     op.size = meta[1];
     op.taken = meta[2] != 0;

@@ -2,18 +2,45 @@
 
 #include <algorithm>
 
+#include "xaon/util/assert.hpp"
 #include "xaon/util/rng.hpp"
 
 namespace xaon::wload {
 
 namespace {
 
+/// skb metadata sits right after the socket ring: 64 slots of 256 bytes.
+constexpr std::uint64_t kMetaSlots = 64;
+constexpr std::uint64_t kMetaSlotBytes = 256;
+
+/// Checks that every region a netperf trace touches lies in the
+/// simulated address space.
+void check_address_space(const NetperfTraceConfig& config) {
+  const std::uint64_t stream_bytes = netperf_trace_bytes(config);
+  XAON_CHECK_MSG(
+      uarch::fits_address_space(config.app_buffer_base, stream_bytes),
+      "netperf app buffer ends above 4 GiB");
+  XAON_CHECK_MSG(
+      uarch::fits_address_space(config.sink_buffer_base, stream_bytes),
+      "netperf sink buffer ends above 4 GiB");
+  XAON_CHECK_MSG(
+      uarch::fits_address_space(
+          config.socket_ring_base,
+          config.socket_ring_bytes + kMetaSlots * kMetaSlotBytes),
+      "netperf socket ring ends above 4 GiB");
+  XAON_CHECK_MSG(uarch::fits_address_space(config.code_base,
+                                           config.code_footprint_bytes),
+                 "netperf code region ends above 4 GiB");
+}
+
 /// Emits the per-buffer kernel work for one role.
 class NetperfEmitter {
  public:
   NetperfEmitter(const NetperfTraceConfig& config, uarch::Trace* out,
                  std::uint64_t seed)
-      : config_(config), out_(out), rng_(seed) {}
+      : config_(config), out_(out), rng_(seed) {
+    check_address_space(config);
+  }
 
   /// Copies one buffer (`offset` bytes into the logical stream) between
   /// `src_base`/`dst_base` regions, with protocol work every MSS.
@@ -60,8 +87,8 @@ class NetperfEmitter {
   void emit_mem(std::uint64_t addr, bool is_write) {
     uarch::Op op;
     op.kind = is_write ? uarch::OpKind::kStore : uarch::OpKind::kLoad;
-    op.addr = addr;
-    op.pc = advance_pc();
+    op.addr = static_cast<std::uint32_t>(addr);
+    op.pc = static_cast<std::uint32_t>(advance_pc());
     out_->push_back(op);
   }
 
@@ -69,7 +96,7 @@ class NetperfEmitter {
     for (std::uint32_t i = 0; i < n; ++i) {
       uarch::Op op;
       op.kind = uarch::OpKind::kAlu;
-      op.pc = advance_pc();
+      op.pc = static_cast<std::uint32_t>(advance_pc());
       out_->push_back(op);
     }
   }
@@ -78,9 +105,9 @@ class NetperfEmitter {
     uarch::Op op;
     op.kind = uarch::OpKind::kBranch;
     op.taken = taken;
-    op.pc = config_.code_base +
-            (static_cast<std::uint64_t>(site) * 64) %
-                config_.code_footprint_bytes;
+    op.pc = static_cast<std::uint32_t>(
+        config_.code_base + (static_cast<std::uint64_t>(site) * 64) %
+                                config_.code_footprint_bytes);
     out_->push_back(op);
     pc_ = taken ? op.pc + 4 : pc_ + 4;
   }
@@ -91,7 +118,7 @@ class NetperfEmitter {
     // skb metadata region: small, hot, reused.
     const std::uint64_t meta =
         config_.socket_ring_base + config_.socket_ring_bytes +
-        (pos / config_.mss % 64) * 256;
+        (pos / config_.mss % kMetaSlots) * kMetaSlotBytes;
     for (int i = 0; i < 3; ++i) emit_mem(meta + i * 64ull, false);
     emit_mem(meta + 192, true);
     emit_alu(24);

@@ -2,12 +2,19 @@
 
 #include <algorithm>
 
+#include "xaon/util/assert.hpp"
+
 namespace xaon::wload {
 
 namespace {
 
 constexpr std::uint64_t kPageBytes = 4096;
 constexpr std::uint64_t kPageMask = kPageBytes - 1;
+
+/// Expansion hot table: per-recorder, this far above `data_base`.
+constexpr std::uint64_t kHotOffset = 0x0800'0000;
+/// Expansion warm set: process-global, at a fixed address.
+constexpr std::uint64_t kWarmBase = 0x7000'0000;
 
 /// Mixes a site id into a stable pseudo-address (splitmix-style).
 std::uint64_t mix(std::uint64_t x) {
@@ -19,14 +26,30 @@ std::uint64_t mix(std::uint64_t x) {
 }  // namespace
 
 TraceRecorder::TraceRecorder(const RecorderConfig& config)
-    : config_(config), pc_(config.code_base) {}
+    : config_(config), pc_(config.code_base) {
+  XAON_CHECK_MSG(uarch::fits_address_space(config.code_base,
+                                           config.code_footprint_bytes),
+                 "code region ends above 4 GiB");
+  if (config.compute_expansion > 0) {
+    XAON_CHECK_MSG(
+        uarch::fits_address_space(config.data_base,
+                                  kHotOffset + config.expansion_hot_bytes),
+        "expansion hot table ends above 4 GiB");
+    XAON_CHECK_MSG(
+        uarch::fits_address_space(kWarmBase, config.expansion_warm_bytes),
+        "expansion warm set ends above 4 GiB");
+  }
+}
 
 std::uint64_t TraceRecorder::remap(std::uint64_t host_addr) {
   const std::uint64_t page = host_addr & ~kPageMask;
   auto [it, inserted] = page_map_.try_emplace(page, 0);
   if (inserted) {
-    it->second = config_.data_base + next_page_ * kPageBytes;
-    ++next_page_;
+    const std::uint64_t offset = next_page_++ * kPageBytes;
+    XAON_CHECK_MSG(uarch::fits_address_space(config_.data_base,
+                                             offset + kPageBytes),
+                   "captured data page maps above 4 GiB");
+    it->second = config_.data_base + offset;
   }
   return it->second + (host_addr & kPageMask);
 }
@@ -52,8 +75,8 @@ void TraceRecorder::emit_memory(const void* addr, std::uint32_t bytes,
   const std::uint32_t step = config_.bytes_per_access;
   for (std::uint64_t offset = 0; offset < bytes; offset += step) {
     uarch::Op op;
-    op.pc = pc_;
-    op.addr = remap(host + offset);
+    op.pc = static_cast<std::uint32_t>(pc_);
+    op.addr = static_cast<std::uint32_t>(remap(host + offset));
     op.kind = is_write ? uarch::OpKind::kStore : uarch::OpKind::kLoad;
     op.size = static_cast<std::uint8_t>(
         std::min<std::uint64_t>(step, bytes - offset));
@@ -77,12 +100,11 @@ void TraceRecorder::inject_expansion(std::uint64_t recorded_ops) {
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
   };
-  const std::uint64_t hot_base = config_.data_base + 0x0800'0000ull;
+  const std::uint64_t hot_base = config_.data_base + kHotOffset;
   const std::uint64_t hot_lines =
       std::max<std::uint64_t>(1, config_.expansion_hot_bytes / 64);
   // The warm set is process-global and read-mostly (compiled schemas,
   // DFA tables): every worker thread shares one copy.
-  const std::uint64_t warm_base = 0x7000'0000ull;
   const std::uint64_t warm_lines =
       std::max<std::uint64_t>(1, config_.expansion_warm_bytes / 64);
 
@@ -95,7 +117,7 @@ void TraceRecorder::inject_expansion(std::uint64_t recorded_ops) {
       op.kind = uarch::OpKind::kBranch;
       const std::uint32_t site_index =
           static_cast<std::uint32_t>(r % kExpansionSites);
-      op.pc = site_entry_pc(2000 + site_index);
+      op.pc = static_cast<std::uint32_t>(site_entry_pc(2000 + site_index));
       const double u2 =
           static_cast<double>(next_rand() >> 11) * 0x1.0p-53;
       if (u2 < config_.expansion_branch_entropy) {
@@ -116,17 +138,19 @@ void TraceRecorder::inject_expansion(std::uint64_t recorded_ops) {
       if (u3 < config_.expansion_warm_fraction) {
         // Shared tables are read-only on the request path.
         op.kind = uarch::OpKind::kLoad;
-        op.addr = warm_base + (next_rand() % warm_lines) * 64;
+        op.addr = static_cast<std::uint32_t>(
+            kWarmBase + (next_rand() % warm_lines) * 64);
       } else {
         op.kind = (next_rand() & 3) == 0 ? uarch::OpKind::kStore
                                          : uarch::OpKind::kLoad;
-        op.addr = hot_base + (next_rand() % hot_lines) * 64;
+        op.addr = static_cast<std::uint32_t>(
+            hot_base + (next_rand() % hot_lines) * 64);
       }
-      op.pc = pc_;
+      op.pc = static_cast<std::uint32_t>(pc_);
       advance_pc();
     } else {
       op.kind = uarch::OpKind::kAlu;
-      op.pc = pc_;
+      op.pc = static_cast<std::uint32_t>(pc_);
       advance_pc();
     }
     trace_.push_back(op);
@@ -152,7 +176,7 @@ void TraceRecorder::on_branch(std::uint32_t site, bool taken) {
   // The branch instruction itself lives at a site-specific address so
   // the simulated predictors see stable, distinct PCs per source-level
   // decision point.
-  op.pc = site_entry_pc(site);
+  op.pc = static_cast<std::uint32_t>(site_entry_pc(site));
   trace_.push_back(op);
   // Taken branches redirect fetch to the site entry (loop bodies
   // re-fetch their lines); fall-through continues linearly.
@@ -173,7 +197,7 @@ void TraceRecorder::on_alu(std::uint32_t count) {
   for (std::uint32_t i = 0; i < n; ++i) {
     uarch::Op op;
     op.kind = uarch::OpKind::kAlu;
-    op.pc = pc_;
+    op.pc = static_cast<std::uint32_t>(pc_);
     trace_.push_back(op);
     advance_pc();
   }

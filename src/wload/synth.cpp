@@ -3,11 +3,18 @@
 #include <algorithm>
 #include <cmath>
 
+#include "xaon/util/assert.hpp"
 #include "xaon/util/rng.hpp"
 
 namespace xaon::wload {
 
 uarch::Trace make_synthetic_trace(const SynthConfig& config) {
+  XAON_CHECK_MSG(
+      uarch::fits_address_space(config.data_base, config.working_set_bytes),
+      "synthetic working set ends above 4 GiB");
+  XAON_CHECK_MSG(uarch::fits_address_space(config.code_base,
+                                           config.code_footprint_bytes),
+                 "synthetic code region ends above 4 GiB");
   util::Xoshiro256ss rng(config.seed);
   uarch::Trace trace;
   trace.reserve(config.ops);
@@ -62,7 +69,8 @@ uarch::Trace make_synthetic_trace(const SynthConfig& config) {
       op.kind = uarch::OpKind::kBranch;
       const std::uint32_t site =
           static_cast<std::uint32_t>(rng.next_below(config.branch_sites));
-      op.pc = config.code_base + (site * 64) % config.code_footprint_bytes;
+      op.pc = static_cast<std::uint32_t>(
+          config.code_base + (site * 64) % config.code_footprint_bytes);
       if (rng.next_bool(config.branch_entropy)) {
         op.taken = rng.next_bool(config.branch_taken_bias);
       } else {
@@ -74,11 +82,11 @@ uarch::Trace make_synthetic_trace(const SynthConfig& config) {
       op.kind = rng.next_bool(config.store_fraction)
                     ? uarch::OpKind::kStore
                     : uarch::OpKind::kLoad;
-      op.addr = data_address();
-      op.pc = next_pc();
+      op.addr = static_cast<std::uint32_t>(data_address());
+      op.pc = static_cast<std::uint32_t>(next_pc());
     } else {
       op.kind = uarch::OpKind::kAlu;
-      op.pc = next_pc();
+      op.pc = static_cast<std::uint32_t>(next_pc());
     }
     trace.push_back(op);
   }

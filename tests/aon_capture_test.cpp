@@ -25,6 +25,13 @@ TEST(Capture, ProducesNonEmptyTraces) {
   }
 }
 
+TEST(CaptureDeath, DataRegionAbove4GiBIsRejected) {
+  CaptureConfig config = small_capture();
+  config.data_base = 0xFFFF'F000;
+  EXPECT_DEATH(capture_use_case_trace(UseCase::kForwardRequest, config),
+               "above 4 GiB");
+}
+
 TEST(Capture, ControlFlowDeterministic) {
   // Two captures of the same spec execute the same instruction stream
   // (same ops, pcs, branch outcomes). Data addresses may differ at page

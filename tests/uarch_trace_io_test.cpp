@@ -17,7 +17,12 @@ Trace sample_trace() {
 }
 
 TEST(TraceIo, RoundTripThroughStream) {
-  const Trace original = sample_trace();
+  Trace original = sample_trace();
+  Op top;  // the highest simulated address survives the 64-bit record
+  top.pc = 0xFFFF'FFFF;
+  top.addr = 0xFFFF'FFFF;
+  top.kind = OpKind::kStore;
+  original.push_back(top);
   std::stringstream buffer;
   ASSERT_TRUE(save_trace(original, buffer));
   const auto loaded = load_trace(buffer);
@@ -82,6 +87,20 @@ TEST(TraceIo, RejectsCorruptOpKind) {
   const auto loaded = load_trace(corrupt);
   EXPECT_FALSE(loaded.ok);
   EXPECT_NE(loaded.error.find("kind"), std::string::npos);
+}
+
+TEST(TraceIo, RejectsAddressAbove4GiB) {
+  Trace two(2);
+  std::stringstream buffer;
+  ASSERT_TRUE(save_trace(two, buffer));
+  std::string bytes = buffer.str();
+  bytes[bytes.size() - 24 + 8 + 4] = 0x01;  // addr of op 1 = 2^32
+  std::stringstream corrupt(bytes);
+  const auto loaded = load_trace(corrupt);
+  EXPECT_FALSE(loaded.ok);
+  EXPECT_NE(loaded.error.find("at op 1"), std::string::npos)
+      << loaded.error;
+  EXPECT_TRUE(loaded.trace.empty());
 }
 
 TEST(TraceIo, RejectsImplausibleCount) {

@@ -44,6 +44,17 @@ TEST(Recorder, AddressRemappingIsDeterministicAndDense) {
   EXPECT_EQ(rec.pages_mapped(), 2u);
 }
 
+TEST(RecorderDeath, DataPageAbove4GiBIsRejected) {
+  RecorderConfig config;
+  config.data_base = 0xFFFF'F000;  // room for exactly one page
+  TraceRecorder rec(config);
+  probe::ScopedRecorder guard(&rec);
+  auto heap = std::make_unique<char[]>(2 * 4096);
+  probe::load(heap.get(), 16);
+  EXPECT_EQ(rec.trace()[0].addr & ~0xFFFu, 0xFFFF'F000u);
+  EXPECT_DEATH(probe::load(heap.get() + 4096, 16), "above 4 GiB");
+}
+
 TEST(Recorder, SamePageMapsOnce) {
   TraceRecorder rec;
   probe::ScopedRecorder guard(&rec);

@@ -43,6 +43,13 @@ TEST(Synth, DeterministicForSeed) {
   EXPECT_TRUE(any_diff);
 }
 
+TEST(SynthDeath, WorkingSetAbove4GiBIsRejected) {
+  SynthConfig config;
+  config.ops = 10;
+  config.data_base = 1ull << 32;
+  EXPECT_DEATH(make_synthetic_trace(config), "above 4 GiB");
+}
+
 TEST(Synth, SequentialPatternStridesThroughWorkingSet) {
   SynthConfig config;
   config.ops = 50'000;
@@ -144,6 +151,14 @@ TEST(NetperfTraces, TimesharedCoversBothRoles) {
   EXPECT_EQ(combined.size(), sender.size() + receiver.size());
 }
 
+TEST(NetperfTracesDeath, RegionAbove4GiBIsRejected) {
+  NetperfTraceConfig config;
+  config.iterations = 1;
+  // The app buffer [base, base + 16 KiB) would cross 4 GiB.
+  config.app_buffer_base = (1ull << 32) - 4096;
+  EXPECT_DEATH(make_netperf_sender_trace(config), "app buffer");
+}
+
 TEST(NetperfTraces, SenderAndReceiverShareKernelCode) {
   NetperfTraceConfig config;
   config.iterations = 1;
@@ -152,8 +167,8 @@ TEST(NetperfTraces, SenderAndReceiverShareKernelCode) {
   auto code_range = [&](const uarch::Trace& t) {
     std::pair<std::uint64_t, std::uint64_t> range{~0ull, 0};
     for (const auto& op : t) {
-      range.first = std::min(range.first, op.pc);
-      range.second = std::max(range.second, op.pc);
+      range.first = std::min(range.first, std::uint64_t{op.pc});
+      range.second = std::max(range.second, std::uint64_t{op.pc});
     }
     return range;
   };
